@@ -53,7 +53,6 @@ from .moduli import (
     POINT,
     ModuliDim,
     QValues,
-    equality_component_condition,
     gamma,
     moduli_dim,
     non_cobordant_types,
@@ -71,11 +70,9 @@ from .oracles import (
     ring_iso_search,
 )
 from .ruled import (
-    LineSplitting,
     betti_profile,
     fiber_anticanonical,
     generic_hirzebruch,
-    line_splitting,
     neg_section_anticanonical,
     signed_hirzebruch,
     unique_structure,
@@ -89,7 +86,6 @@ __all__ = [
     "ConsistencyError",
     "DomainError",
     "EMPTY",
-    "LineSplitting",
     "MixedRingError",
     "ModuliDim",
     "MonadSpec",
@@ -112,7 +108,6 @@ __all__ = [
     "deformation_equivalent_bundles",
     "direct_hcob_type_obstruction",
     "discriminant",
-    "equality_component_condition",
     "fiber_anticanonical",
     "form_eval",
     "gamma",
@@ -120,7 +115,6 @@ __all__ = [
     "gl2z_form_search",
     "h_cobordant",
     "integer_root_search",
-    "line_splitting",
     "line_total",
     "moduli_dim",
     "monad_cohomology_chern",

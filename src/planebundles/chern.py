@@ -111,12 +111,10 @@ def serre_length(p: ChernPair, n: int) -> int:
     """Length N^2 - N*c1 + c2 of the vanishing locus of a degree-N section.
 
     Equals the second Chern class after twisting by the degree -N line
-    bundle, which is checked on every call.  A negative value cannot come
+    bundle, which the test suite checks.  A negative value cannot come
     from an actual section; it is still returned, with a warning attached.
     """
     value = n * n - n * p.c1 + p.c2
-    if twist(p, -n).c2 != value:
-        raise ConsistencyError("section length disagrees with the twist formula")
     if value < 0:
         warnings.warn(
             f"negative section length {value} for {p} at N={n}: "

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import ConsistencyError, DomainError, MixedRingError
+from .errors import DomainError, MixedRingError
 
 if TYPE_CHECKING:
     from .chern import ChernPair
@@ -113,22 +113,16 @@ def p2_mul(x: P2Class, y: P2Class) -> P2Class:
 
 
 def p2_unit_inverse(x: P2Class) -> P2Class:
-    """Inverse of a unit, computed by the truncated geometric series.
+    """Inverse of a unit a0 + a1*H + a2*H^2, in closed form.
 
     The constant coefficient must be +1 or -1.  Writing x = a0*(1 + u) with
     u of positive degree, the inverse is a0*(1 - u + u^2) because u^3
-    truncates to zero.
+    truncates to zero; expanded, that is a0 - a1*H + (a0*a1^2 - a2)*H^2.
     """
-    a0 = x.coeffs[0]
+    a0, a1, a2 = x.coeffs
     if a0 not in (1, -1):
         raise DomainError("not a unit: constant coefficient must be +1 or -1")
-    u = P2Class((0, a0 * x.coeffs[1], a0 * x.coeffs[2]))
-    result = P2Class((a0, 0, 0)) - P2Class(tuple(a0 * c for c in u.coeffs)) + P2Class(
-        tuple(a0 * c for c in p2_mul(u, u).coeffs)
-    )
-    if p2_mul(x, result).coeffs != (1, 0, 0):
-        raise ConsistencyError("unit inverse failed its defining identity")
-    return result
+    return P2Class((a0, -a1, a0 * a1 * a1 - a2))
 
 
 @dataclass(frozen=True)
@@ -183,7 +177,11 @@ class PBRing:
 
 @dataclass(frozen=True)
 class PBClass:
-    """Element of a PBRing over the basis (1, H, H^2, t, H*t, H^2*t)."""
+    """Element of a PBRing over the basis (1, H, H^2, t, H*t, H^2*t).
+
+    Build classes from outside input with PBRing.element, which validates
+    the coefficients; the arithmetic below constructs its results directly.
+    """
 
     coeffs: tuple
     ring: PBRing
@@ -197,14 +195,14 @@ class PBClass:
 
     def __add__(self, other: "PBClass") -> "PBClass":
         self._require_same_ring(other)
-        return self.ring.element(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return PBClass(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)), self.ring)
 
     def __sub__(self, other: "PBClass") -> "PBClass":
         self._require_same_ring(other)
-        return self.ring.element(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return PBClass(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)), self.ring)
 
     def __neg__(self) -> "PBClass":
-        return self.ring.element(tuple(-a for a in self.coeffs))
+        return PBClass(tuple(-a for a in self.coeffs), self.ring)
 
     def __mul__(self, other: "PBClass") -> "PBClass":
         return pb_mul(self.ring, self, other)
@@ -224,25 +222,16 @@ def pb_mul(ring: PBRing, x: PBClass, y: PBClass) -> PBClass:
     """Product in the ring of the projectivization."""
     if x.ring != ring or y.ring != ring:
         raise MixedRingError("operands do not belong to the given ring")
-    return ring.element(_mul6(ring.c1, ring.c2, x.coeffs, y.coeffs))
+    return PBClass(_mul6(ring.c1, ring.c2, x.coeffs, y.coeffs), ring)
 
 
 def triple_self_product(ring: PBRing, a: int, b: int) -> int:
-    """Coefficient of H^2*t in (a*H + b*t)^3.
+    """Coefficient of H^2*t in (a*H + b*t)^3, computed through pb_mul.
 
-    Computed through pb_mul and cross-checked on every call against the
-    closed form 3*a^2*b - 3*c1*a*b^2 + (c1^2 - c2)*b^3.
+    The cube of a degree-one class lies in the top degree, so this is its
+    only nonzero coefficient.  It equals the closed cubic form
+    3*a^2*b - 3*c1*a*b^2 + (c1^2 - c2)*b^3; the test suite and acceptance
+    criterion 3 check both facts on a grid.
     """
     x = ring.element((0, a, 0, b, 0, 0))
-    cube = pb_mul(ring, pb_mul(ring, x, x), x)
-    for index in range(5):
-        if cube.coeffs[index] != 0:
-            raise ConsistencyError("cube of a degree-one class left the top degree")
-    value = cube.coeffs[5]
-    c1, c2 = ring.c1, ring.c2
-    closed = 3 * a * a * b - 3 * c1 * a * b * b + (c1 * c1 - c2) * b**3
-    if value != closed:
-        raise ConsistencyError(
-            f"triple product mismatch at (a, b) = ({a}, {b}): {value} != {closed}"
-        )
-    return value
+    return pb_mul(ring, pb_mul(ring, x, x), x).coeffs[5]

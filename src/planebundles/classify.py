@@ -27,9 +27,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .chern import ChernPair, twist
+from .chern import ChernPair
 from .errors import ConsistencyError, DomainError
-from .orbits import discriminant, orbit_witness, same_orbit
+from .orbits import discriminant, orbit_witness
 from .ruled import unique_structure
 
 YES = "yes"
@@ -86,15 +86,13 @@ class Verdict:
 def weak_equivalent(p: ChernPair, q: ChernPair) -> Verdict:
     """Weak equivalence of the projectivizations: decided, never Unknown.
 
-    Yes exactly when the pairs lie in one twist orbit, and the witness is
-    the unique connecting twist.
+    Yes exactly when the pairs lie in one twist orbit, that is when a
+    connecting twist exists; that unique twist is the witness.
     """
-    if same_orbit(p, q):
-        l = orbit_witness(p, q)
-        if l is None:
-            raise ConsistencyError(f"orbit match without witness for {p}, {q}")
-        return Verdict(YES, REASON_ORBIT, l)
-    return Verdict(NO, REASON_ORBIT)
+    l = orbit_witness(p, q)
+    if l is None:
+        return Verdict(NO, REASON_ORBIT)
+    return Verdict(YES, REASON_ORBIT, l)
 
 
 def split_twist(p: ChernPair):
@@ -142,8 +140,6 @@ def concordance_to_split(p: ChernPair) -> Verdict:
     d = split_twist(p)
     if d is None:
         return Verdict(UNKNOWN, REASON_OPEN_CONCORDANCE)
-    if twist(p, -d).c2 != 0:
-        raise ConsistencyError(f"split witness {d} fails the twist check for {p}")
     return Verdict(YES, REASON_SPLIT_CONCORDANCE, d)
 
 
@@ -208,19 +204,13 @@ def complex_report(p: ChernPair, q: ChernPair) -> RelationReport:
     The four topological relations (weak equivalence, homotopy equivalence,
     diffeomorphism, deformation equivalence of the projectivizations) biject
     with each other, so they receive the identical verdict object.  Bundle
-    concordance is Yes only for an identical pair; the cascade through the
-    split case cannot fire for distinct pairs because an orbit witness of
-    zero already forces equality.
+    concordance is Yes only for an identical pair; a cascade through the
+    split case would add nothing for distinct pairs because an orbit
+    witness of zero already forces equality.
     """
     weak = weak_equivalent(p, q)
     if p == q:
         concordance = Verdict(YES, REASON_IDENTICAL_PAIR, 0)
-    elif (
-        concordance_to_split(p).value == YES
-        and concordance_to_split(q).value == YES
-        and orbit_witness(p, q) == 0
-    ):
-        concordance = Verdict(YES, REASON_SPLIT_CONCORDANCE, 0)
     else:
         concordance = Verdict(UNKNOWN, REASON_OPEN_CONCORDANCE)
     return RelationReport(

@@ -237,6 +237,10 @@ def _cmd_chow(args) -> int:
     form = picard_cubic(args.pair)
     picard = picard_discriminant(args.pair)
     standard = cubic_discriminant_standard(form)
+    if standard != -27 * picard:
+        raise ConsistencyError(
+            f"discriminant scales disagree at {args.pair}: {standard} != -27 * {picard}"
+        )
     cube = None
     if args.cube is not None:
         from .chow import triple_self_product

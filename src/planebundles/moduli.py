@@ -115,14 +115,6 @@ def binom2(n: int) -> int:
     return n * (n - 1) // 2 if n >= 2 else 0
 
 
-def equality_component_condition(p: ChernPair, d: int, e: int) -> bool:
-    """Whether binom(d - e - 1, 2) >= e^2 - e*c1 + c2 holds."""
-    _require_normal(p)
-    if not d > e >= -1:
-        raise DomainError(f"need d > e >= -1, got d={d}, e={e}")
-    return binom2(d - e - 1) >= e * e - e * p.c1 + p.c2
-
-
 def q_values(p: ChernPair, d: int, e: int, q3_as_printed: bool = False) -> QValues:
     """All five derived quantities at (d, e).
 
@@ -173,15 +165,15 @@ def non_cobordant_types(p: ChernPair, k: int) -> list:
     """The k consecutive types starting at max(threshold, 4 + c1).
 
     The lower bound 4 + c1 keeps every type strictly above 3 + c1, where
-    the ruled structure on the projectivization is unique.  Each returned
-    type is re-verified against the threshold condition instead of relying
-    on monotonicity.
+    the ruled structure on the projectivization is unique.  The threshold
+    condition is monotone from d = 2 on: going from d to d + 1, Q1 grows,
+    each gamma(d; e) with e < d grows by P(d + 1) - P(d) = 2*d - 2 - c1 > 0
+    and the new gamma(d + 1; d) = 2*d - 1 - c1 is positive.  So every type
+    satisfies the condition once the first does; the only threshold below
+    2, that of (0, 1), still meets it at 4 + c1.  The test suite checks
+    both facts on a grid.
     """
     if k < 1:
         raise DomainError(f"need at least one type, got k={k}")
     start = max(stromme_threshold(p), 4 + p.c1)
-    types = list(range(start, start + k))
-    for d in types:
-        if not _threshold_condition(p, d):
-            raise ConsistencyError(f"type {d} fails re-verification for {p}")
-    return types
+    return list(range(start, start + k))

@@ -20,7 +20,7 @@ from .chow import PBRing, pb_mul
 from .classify import deformable_to_split
 from .cubic import BinaryCubicForm, UnimodularMatrix, picard_cubic, picard_discriminant
 from .errors import ConsistencyError, DomainError
-from .orbits import orbit_witness, same_orbit
+from .orbits import normalize, orbit_witness, same_orbit
 
 
 @dataclass(frozen=True)
@@ -171,20 +171,24 @@ def integer_root_search(p: ChernPair, dmax: int) -> list:
 
 
 def orbit_agreement_sweep(bound: int) -> tuple:
-    """Compare same_orbit and orbit_witness against orbit_oracle.
+    """Compare same_orbit, normal forms and orbit_witness against orbit_oracle.
 
-    Runs over all pairs of pairs with coordinates in [-bound, bound] and
-    returns (pairs checked, mismatches).
+    Runs over all pairs of pairs with coordinates in [-bound, bound]; a pair
+    counts as a mismatch when the invariant test or the equality of normal
+    forms disagrees with the scan, or the witness differs from it.  Returns
+    (pairs checked, mismatches).
     """
     span = range(-bound, bound + 1)
     pairs = [ChernPair(a, b) for a in span for b in span]
+    reps = {p: normalize(p).rep for p in pairs}
     checked = 0
     mismatches = 0
     for p in pairs:
         for q in pairs:
             checked += 1
             scanned = orbit_oracle(p, q)
-            if same_orbit(p, q) != (scanned is not None):
+            found = scanned is not None
+            if same_orbit(p, q) != found or (reps[p] == reps[q]) != found:
                 mismatches += 1
             elif orbit_witness(p, q) != scanned:
                 mismatches += 1

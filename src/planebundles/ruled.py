@@ -8,35 +8,9 @@ type d the generic splitting gives index |c1 - 2*d|.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DomainError
 
 BETTI_PROFILE = (1, 0, 2, 0, 2, 0, 1)
-
-
-@dataclass(frozen=True)
-class LineSplitting:
-    """Splitting degrees (a, c1 - a) of the restriction to a line, a >= 0."""
-
-    a: int
-    c1: int
-
-    def __post_init__(self):
-        if self.a < 0:
-            raise DomainError(f"leading splitting degree must be >= 0, got {self.a}")
-
-    @property
-    def degrees(self) -> tuple:
-        return (self.a, self.c1 - self.a)
-
-    @property
-    def hirzebruch_index(self) -> int:
-        return abs(2 * self.a - self.c1)
-
-
-def line_splitting(c1: int, a: int) -> LineSplitting:
-    return LineSplitting(a, c1)
 
 
 def signed_hirzebruch(c1: int, d: int) -> int:

@@ -219,6 +219,8 @@ def test_triple_self_product_small_grid():
                 for b in range(-3, 4):
                     expected = 3 * a * a * b - 3 * c1 * a * b * b + (c1 * c1 - c2) * b**3
                     assert triple_self_product(ring, a, b) == expected
+                    x = ring.element((0, a, 0, b, 0, 0))
+                    assert (x * x * x).coeffs[:5] == (0, 0, 0, 0, 0)
 
 
 def test_pb_class_json_shape():

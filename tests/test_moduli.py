@@ -11,7 +11,6 @@ from planebundles.moduli import (
     ModuliDim,
     binom2,
     codim_exceeds_dim,
-    equality_component_condition,
     gamma,
     moduli_dim,
     non_cobordant_types,
@@ -120,12 +119,6 @@ def test_binom2_values():
     assert [binom2(n) for n in range(-2, 6)] == [0, 0, 0, 0, 1, 3, 6, 10]
 
 
-def test_equality_component_condition():
-    p = ChernPair(0, 0)
-    assert equality_component_condition(p, 5, 1) == (binom2(3) >= 1)
-    assert equality_component_condition(p, 3, 1) is False
-
-
 def _as_tuple(v):
     return (v.q1, v.q2, v.q3, v.q4, v.q5)
 
@@ -134,6 +127,9 @@ def test_q_values_examples():
     p = ChernPair(0, 0)
     assert _as_tuple(q_values(p, 5, 1)) == (25, 74, 2, 61, 13)
     assert _as_tuple(q_values(p, 3, 0)) == (9, 26, 1, 24, 2)
+    # the sign of Q3 says whether binom(d - e - 1, 2) >= e^2 - e*c1 + c2
+    assert (q_values(p, 5, 1).q3 >= 0) == (binom2(3) >= 1)
+    assert q_values(p, 3, 1).q3 < 0
 
 
 def test_q_values_printed_variant_differs():
@@ -159,11 +155,13 @@ def test_codim_exceeds_dim_example():
     assert codim_exceeds_dim(ChernPair(0, 0), 5, 1) is False
 
 
+def _naive_condition(p, d):
+    return q1(p, d) > 0 and all(gamma(p, d, e) > 0 for e in range(-1, d))
+
+
 def _naive_threshold(p, limit=2000):
     for d in range(limit):
-        if q1(p, d) <= 0:
-            continue
-        if all(gamma(p, d, e) > 0 for e in range(-1, d)):
+        if _naive_condition(p, d):
             return d
     raise AssertionError("threshold not found below limit")
 
@@ -209,3 +207,16 @@ def test_non_cobordant_types_are_consecutive_and_verified(p, k):
     for d in types:
         assert q1(p, d) > 0
         assert all(gamma(p, d, e) > 0 for e in range(-1, d))
+
+
+def test_threshold_condition_is_monotone_on_a_grid():
+    # non_cobordant_types returns consecutive types without re-checking them
+    for c1 in (0, -1):
+        for c2 in range(-300, 301):
+            p = ChernPair(c1, c2)
+            assert _naive_condition(p, max(stromme_threshold(p), 4 + c1))
+            holds = _naive_condition(p, 2)
+            for d in range(2, 80):
+                holds_next = _naive_condition(p, d + 1)
+                assert holds_next or not holds, (p, d)
+                holds = holds_next

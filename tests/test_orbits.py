@@ -45,6 +45,7 @@ def test_same_orbit_matches_the_invariant_on_a_grid():
     for p in grid:
         for q in grid:
             assert same_orbit(p, q) == (_orbit_key(p) == _orbit_key(q))
+            assert same_orbit(p, q) == (normalize(p).rep == normalize(q).rep)
 
 
 def test_same_orbit_examples():

@@ -6,11 +6,9 @@ from hypothesis import given, strategies as st
 from planebundles.errors import DomainError
 from planebundles.ruled import (
     BETTI_PROFILE,
-    LineSplitting,
     betti_profile,
     fiber_anticanonical,
     generic_hirzebruch,
-    line_splitting,
     neg_section_anticanonical,
     signed_hirzebruch,
     unique_structure,
@@ -62,19 +60,6 @@ def test_betti_profile_shape():
     assert profile == profile[::-1]
 
 
-def test_line_splitting_degrees_and_index():
-    s = line_splitting(-1, 3)
-    assert s.degrees == (3, -4)
-    assert s.hirzebruch_index == 7
-    assert LineSplitting(2, 0).degrees == (2, -2)
-    assert LineSplitting(2, 0).hirzebruch_index == 4
-
-
-def test_line_splitting_validation():
-    with pytest.raises(DomainError):
-        LineSplitting(-1, 0)
-
-
 @given(st.integers(min_value=3, max_value=100), st.sampled_from([0, -1]))
 def test_unbalanced_line_splittings_exceed_the_uniqueness_bound(a, c1):
-    assert LineSplitting(a, c1).hirzebruch_index > 4
+    assert generic_hirzebruch(c1, a) > 4
