@@ -127,7 +127,11 @@ def test_q_values_examples():
     p = ChernPair(0, 0)
     assert _as_tuple(q_values(p, 5, 1)) == (25, 74, 2, 61, 13)
     assert _as_tuple(q_values(p, 3, 0)) == (9, 26, 1, 24, 2)
+
+
+def test_equality_component_condition():
     # the sign of Q3 says whether binom(d - e - 1, 2) >= e^2 - e*c1 + c2
+    p = ChernPair(0, 0)
     assert (q_values(p, 5, 1).q3 >= 0) == (binom2(3) >= 1)
     assert q_values(p, 3, 1).q3 < 0
 
