@@ -52,7 +52,7 @@ from .ruled import generic_hirzebruch, signed_hirzebruch
 
 SCHEMA = "1"
 CONVENTION = "c1 in {0,-1}"
-GRID_CELL_CAP = 10**6
+GRID_CELL_CAP = 10**6  # also caps `types --count`
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -362,6 +362,8 @@ def _cmd_threshold(args) -> int:
 
 
 def _cmd_types(args) -> int:
+    if args.count > GRID_CELL_CAP:
+        raise DomainError(f"count is {args.count}, cap is {GRID_CELL_CAP}")
     types = non_cobordant_types(args.pair, args.count)
     threshold = stromme_threshold(args.pair)
     lower = 4 + args.pair.c1

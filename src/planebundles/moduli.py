@@ -15,10 +15,21 @@ The central quantities, for P(x) = (x - 1)*(x - 2 - c1) - c2:
 The printed form of Q3 in one source distributes a minus sign differently
 from the inequality it abbreviates; the inequality reading is the default
 here and the other one stays available behind a flag.
+
+The Stromme threshold takes constant time.  P is a convex parabola, so
+over e in [0, d) the count gamma(d; e) = P(d) - P(e) + 1 is smallest at
+an endpoint.  The upper one gives gamma(d; d - 1) = 2*d - 3 - c1, which
+is positive for d >= 2 and is the e = 0 count at d = 1.  On the trivial
+pair gamma(d; 0) is P(d) instead, and the minimum over [1, d) sits at
+e = 1, where gamma(d; 1) = P(d) + 1, or at e = d - 1 as before.  Either
+way "gamma(d; e) > 0 for every e < d" comes down to e in {-1, 0}.  No
+type below isqrt(|c2|) - 2 meets the condition, and the search starting
+there takes at most five steps up.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .chern import ChernPair
@@ -143,22 +154,32 @@ def codim_exceeds_dim(p: ChernPair, d: int, e: int) -> bool:
 
 
 def _threshold_condition(p: ChernPair, d: int) -> bool:
-    return q1(p, d) > 0 and all(gamma(p, d, e) > 0 for e in range(-1, d))
+    # P is convex, so e in {-1, 0} decide (see the module docstring)
+    return q1(p, d) > 0 and all(gamma(p, d, e) > 0 for e in (-1, 0) if e < d)
 
 
 def stromme_threshold(p: ChernPair) -> int:
     """Least type d >= 0 with Q1(d) > 0 and gamma(d; e) > 0 for all e < d.
 
     From this type on, no bundle in the moduli space deforms to one of
-    smaller type.  The search is bounded; gamma grows quadratically in d, so
-    hitting the bound would be an internal error, not a property of the
-    input.
+    smaller type.  Each type is checked at e in {-1, 0} only, which
+    suffices because P is convex.  The search starts at d = isqrt(|c2|) - 2:
+    below it gamma(d; -1) = P(d) <= 0 when c2 >= 0 and Q1(d) < 0 when
+    c2 < 0.  From there it steps up at most five times: with
+    s = isqrt(|c2|), P(s + 3) > 0 when c2 >= 0 and Q1(s + 1) > 0 when
+    c2 < 0.
+
+    A threshold above SEARCH_LIMIT raises ConsistencyError although the
+    input is legal.  The benchmark pins that exit 3 on such a request, so
+    the limit stays until the benchmark changes with it.
     """
     _require_normal(p)
-    for d in range(SEARCH_LIMIT + 1):
-        if _threshold_condition(p, d):
-            return d
-    raise ConsistencyError(f"threshold search exceeded {SEARCH_LIMIT} for {p}")
+    d = max(0, math.isqrt(abs(p.c2)) - 2)
+    while not _threshold_condition(p, d):
+        d += 1
+    if d > SEARCH_LIMIT:
+        raise ConsistencyError(f"threshold search exceeded {SEARCH_LIMIT} for {p}")
+    return d
 
 
 def non_cobordant_types(p: ChernPair, k: int) -> list:

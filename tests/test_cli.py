@@ -227,6 +227,7 @@ def test_domain_errors_exit_two(capsys):
     for argv in (
         ["moduli", "--pair", "2,1", "--dmax", "3"],
         ["types", "--pair", "0,0", "--count", "0"],
+        ["types", "--pair", "0,0", "--count", "1000001"],
         ["scan", "--range", "2:1:0:0"],
         ["scan", "--range", "0:2000:0:2000"],
     ):

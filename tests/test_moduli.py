@@ -1,13 +1,16 @@
 """Dimension counts, expected-codimension bookkeeping, threshold scans."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
 from planebundles.chern import ChernPair
-from planebundles.errors import DomainError
+from planebundles.errors import ConsistencyError, DomainError
 from planebundles.moduli import (
     EMPTY,
     POINT,
+    SEARCH_LIMIT,
     ModuliDim,
     binom2,
     codim_exceeds_dim,
@@ -18,6 +21,7 @@ from planebundles.moduli import (
     q_values,
     q1,
     stromme_threshold,
+    _threshold_condition,
 )
 
 normal_pairs = st.builds(
@@ -214,13 +218,59 @@ def test_non_cobordant_types_are_consecutive_and_verified(p, k):
 
 
 def test_threshold_condition_is_monotone_on_a_grid():
-    # non_cobordant_types returns consecutive types without re-checking them
+    # non_cobordant_types returns consecutive types without re-checking them;
+    # stromme_threshold checks only e in {-1, 0} and starts at isqrt(|c2|) - 2
     for c1 in (0, -1):
         for c2 in range(-300, 301):
             p = ChernPair(c1, c2)
             assert _naive_condition(p, max(stromme_threshold(p), 4 + c1))
-            holds = _naive_condition(p, 2)
-            for d in range(2, 80):
+            start = max(0, math.isqrt(abs(c2)) - 2)
+            assert stromme_threshold(p) <= start + 5, p
+            holds = _naive_condition(p, 0)
+            for d in range(80):
+                assert _threshold_condition(p, d) == holds, (p, d)
+                assert d >= start or not holds, (p, d)
                 holds_next = _naive_condition(p, d + 1)
-                assert holds_next or not holds, (p, d)
+                assert d < 2 or holds_next or not holds, (p, d)
                 holds = holds_next
+
+
+@given(st.sampled_from([0, -1]), st.integers(min_value=-10**12, max_value=10**12), st.data())
+def test_threshold_at_large_magnitude(c1, c2, data):
+    p = ChernPair(c1, c2)
+    try:
+        t = stromme_threshold(p)
+    except ConsistencyError:
+        # beyond the limit, the condition must still fail at the limit itself
+        assert not _naive_condition(p, SEARCH_LIMIT)
+        return
+    assert t <= max(0, math.isqrt(abs(c2)) - 2) + 5
+    drawn = data.draw(st.integers(min_value=-1, max_value=t - 1))
+    assert q1(p, t) > 0
+    for e in {drawn, -1, 0, t - 1}:
+        if e < t:
+            assert gamma(p, t, e) > 0, (p, t, e)
+    # minimality: the condition is monotone from d = 2 on (checked on a grid above)
+    for d in {0, 1, t - 1}:
+        if 0 <= d < t:
+            assert not _naive_condition(p, d), (p, d)
+
+
+@pytest.mark.parametrize("c1, c2, expected", [
+    (0, 999997000001, 10**6),
+    (0, 999997000002, None),
+    (-1, 999998000000, 10**6),
+    (-1, 999998000001, None),
+    (0, -999999999999, 10**6),
+    (-1, -1000000999999, 10**6),
+    (0, -10**12, None),
+    (-1, -1000001000000, None),
+    (0, 10**30, None),
+])
+def test_threshold_search_limit_boundary(c1, c2, expected):
+    p = ChernPair(c1, c2)
+    if expected is None:
+        with pytest.raises(ConsistencyError, match="threshold search exceeded 1000000"):
+            stromme_threshold(p)
+    else:
+        assert stromme_threshold(p) == expected
